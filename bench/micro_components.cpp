@@ -1,7 +1,7 @@
 // MICRO — google-benchmark microbenchmarks of the substrate components:
-// the HTML tokenizer/parser the server's DOM scan runs on, the HTTP
-// message parser, ETag-map encode/decode, SHA-1 ETag generation, cache
-// operations, and the event-driven fluid link.
+// the HTML tokenizer/parser the server's DOM scan runs on, ETag-map
+// encode/decode, SHA-1 ETag generation, cache operations, and the
+// event-driven fluid link.
 #include <benchmark/benchmark.h>
 
 #include "cache/http_cache.h"
@@ -9,8 +9,6 @@
 #include "html/link_extract.h"
 #include "html/parser.h"
 #include "http/etag_config.h"
-#include "http/parser.h"
-#include "http/serializer.h"
 #include "netsim/link.h"
 #include "util/hash.h"
 
@@ -65,24 +63,6 @@ void BM_DomScanEndToEnd(benchmark::State& state) {
                           static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_DomScanEndToEnd)->Arg(64 << 10);
-
-void BM_HttpResponseParse(benchmark::State& state) {
-  http::Response resp = http::Response::make(http::Status::Ok);
-  resp.headers.set(http::kContentType, "text/css");
-  resp.headers.set(http::kCacheControl, "max-age=3600");
-  resp.headers.set(http::kEtagHeader, "\"0123456789abcdef\"");
-  resp.body = std::string(static_cast<std::size_t>(state.range(0)), 'x');
-  resp.finalize(TimePoint{});
-  const std::string wire = http::serialize(resp);
-  for (auto _ : state) {
-    http::ResponseParser parser;
-    parser.feed(wire);
-    benchmark::DoNotOptimize(parser.take());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(wire.size()) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_HttpResponseParse)->Arg(1 << 10)->Arg(64 << 10);
 
 void BM_EtagConfigEncode(benchmark::State& state) {
   http::EtagConfig map;

@@ -73,10 +73,11 @@ struct LiveUser {
   std::uint64_t carry_base = 0;
 };
 
-/// Per-user accumulation for the streaming engine: visits arrive in time
-/// order interleaved across users, so per-visit tallies collect here and
-/// fold into the FleetReport in ascending user-id order at shard end —
-/// reproducing the legacy engine's accumulation order exactly.
+/// Per-user tallies: the one path from a visit's PageLoadResult to the
+/// FleetReport. Both engines tally each visit with accumulate_visit and
+/// fold each user with fold_user in ascending user-id order; the
+/// streaming engine, whose visits arrive interleaved across users, holds
+/// every accumulator until shard end.
 struct UserAccum {
   std::uint64_t visits = 0;
   bool traced = false;
@@ -93,15 +94,17 @@ struct UserAccum {
   std::uint64_t fetches = 0;
   std::uint64_t avoided = 0;
   /// Per-revisit samples in visit order (Summary adds are replayed from
-  /// these at fold time, preserving the legacy sample sequence).
+  /// these at fold time, so the sample sequence is per-user visit order).
   std::vector<double> plt_ms;
   std::vector<double> reduction_pct;
   double reduction_sum = 0.0;
   std::size_t reduction_n = 0;
 };
 
-/// Tallies one visit (visit index `vi`) into the user's accumulator —
-/// the per-visit body of the legacy replay_user loop.
+/// Tallies one visit (visit index `vi`) into the user's accumulator. `b`
+/// is the same visit under the baseline arm, or null when single-arm.
+/// Fault and oracle tallies cover every treatment visit, the cold load
+/// included; cache counters and PLT samples cover revisits only.
 void accumulate_visit(UserAccum& a, std::size_t vi,
                       const client::PageLoadResult& r,
                       const client::PageLoadResult* b, std::uint64_t user_id,
@@ -158,8 +161,7 @@ void accumulate_visit(UserAccum& a, std::size_t vi,
 }
 
 /// Folds one user's accumulator into the shard report. Called in
-/// ascending user-id order, this replays the exact report mutations (and
-/// Summary sample sequences) the legacy replay_user performs.
+/// ascending user-id order, so Summary sample sequences are canonical.
 void fold_user(const UserAccum& a, std::uint64_t user_id,
                FleetReport& report) {
   report.users += 1;
@@ -222,89 +224,16 @@ void Shard::replay_user(const UserProfile& profile, FleetReport& report) {
                            params_.breakdown ? &base_recorder_ : nullptr);
   }
 
-  report.users += 1;
-  report.visits += treat.size();
-  report.revisits += treat.size() - 1;
-
-  if (profile.user_id < params_.trace_users) {
-    std::string jsonl;
-    for (std::size_t i = 0; i < treat.size(); ++i) {
-      jsonl += check::trace_to_jsonl(treat[i], profile.user_id,
-                                     static_cast<std::uint32_t>(i));
-    }
-    report.traces.emplace(profile.user_id, std::move(jsonl));
-  }
-
-  double user_reduction_sum = 0.0;
-  std::size_t user_reduction_n = 0;
-  std::uint64_t user_fetches = 0;
-  std::uint64_t user_avoided = 0;
-
+  UserAccum accum;
   for (std::size_t i = 0; i < treat.size(); ++i) {
-    const client::PageLoadResult& r = treat[i];
-    report.bytes_on_wire += r.bytes_downloaded;
-    report.rtts += r.rtts;
-    report.events_executed += r.loop_events;
-    if (compare) {
-      report.baseline_bytes_on_wire += base[i].bytes_downloaded;
-      report.baseline_rtts += base[i].rtts;
-      report.events_executed += base[i].loop_events;
-    }
-    // Fault tallies cover every treatment visit — cold loads get hit by
-    // faults like any other.
-    report.faults.timeouts += r.timeouts_fired;
-    report.faults.retries += r.retries;
-    report.faults.connection_failures += r.connection_failures;
-    report.faults.fallback_revalidations += r.fallback_revalidations;
-    report.faults.failed_loads += r.failed_loads;
-    // Oracle tallies cover every treatment visit — a wrong byte on the
-    // cold load would be just as wrong.
-    report.oracle.checked += r.oracle_checked;
-    report.oracle.allowed_stale += r.oracle_allowed_stale;
-    report.oracle.violations += r.oracle_violations;
-    report.oracle.poisoned_serves += r.oracle_poisoned;
-    report.oracle.cross_user_leaks += r.oracle_leaks;
-    report.negative_hits += r.negative_hits;
-    if (i == 0) continue;  // cold load: all-network by construction
-
-    CacheCounters c;
-    c.from_network = r.from_network;
-    c.from_cache = r.from_cache;
-    c.not_modified = r.not_modified;
-    c.from_sw_cache = r.from_sw_cache;
-    c.from_push = r.from_push;
-    c.stale_served = r.stale_served;
-    report.counters.merge(c);
-    user_fetches += c.total();
-    user_avoided += c.avoided_downloads();
-
-    report.plt_ms.add(to_millis(r.plt()));
-    if (compare) {
-      const double base_ms = to_millis(base[i].plt());
-      if (base_ms > 0.0) {
-        const double reduction =
-            100.0 * (base_ms - to_millis(r.plt())) / base_ms;
-        report.plt_reduction_pct.add(reduction);
-        user_reduction_sum += reduction;
-        ++user_reduction_n;
-      }
-    }
+    accumulate_visit(accum, i, treat[i], compare ? &base[i] : nullptr,
+                     profile.user_id, params_.trace_users);
   }
-
-  if (user_reduction_n > 0) {
-    report.per_user_plt_reduction_pct.add(
-        user_reduction_sum / static_cast<double>(user_reduction_n));
-  }
-  if (user_fetches > 0) {
-    report.per_user_hit_rate_pct.add(100.0 *
-                                     static_cast<double>(user_avoided) /
-                                     static_cast<double>(user_fetches));
-  }
+  fold_user(accum, profile.user_id, report);
 }
 
 FleetReport Shard::run_streaming() {
   FleetReport report;
-  const obs::ProfCounters prof_before = obs::tls_prof();
   const bool compare = params_.baseline != params_.strategy;
   const std::uint64_t first = task_.first_user;
   const std::size_t n = static_cast<std::size_t>(task_.user_count);
@@ -449,6 +378,23 @@ FleetReport Shard::run_streaming() {
   for (std::size_t i = 0; i < n; ++i) {
     fold_user(accums[i], first + i, report);
   }
+  return report;
+}
+
+FleetReport Shard::run() {
+  // Snapshot this thread's self-profile counters so the report carries
+  // exactly what this shard's replay cost (threads are reused across
+  // shards, so the raw thread-local totals would double-count).
+  const obs::ProfCounters prof_before = obs::tls_prof();
+  // Streaming requires every piece of cross-visit state to live in the
+  // parked client snapshot; incompatible configurations (edge PoPs, the
+  // adversary, server-learned strategies) fall back to user-major replay
+  // rather than silently diverging — same reports, just without the
+  // memory bound.
+  FleetReport report = params_.max_live_users > 0 && task_.pop < 0 &&
+                               params_.streaming_compatible()
+                           ? run_streaming()
+                           : run_user_major();
   if (params_.breakdown) {
     report.phases = treat_recorder_.breakdown();
     report.baseline_phases = base_recorder_.breakdown();
@@ -457,21 +403,8 @@ FleetReport Shard::run_streaming() {
   return report;
 }
 
-FleetReport Shard::run() {
-  // Streaming requires every piece of cross-visit state to live in the
-  // parked client snapshot; incompatible configurations (edge PoPs, the
-  // adversary, server-learned strategies) fall back to the legacy engine
-  // rather than silently diverging — same reports, just without the
-  // memory bound.
-  if (params_.max_live_users > 0 && task_.pop < 0 &&
-      params_.streaming_compatible()) {
-    return run_streaming();
-  }
+FleetReport Shard::run_user_major() {
   FleetReport report;
-  // Snapshot this thread's self-profile counters so the report carries
-  // exactly what this shard's replay cost (threads are reused across
-  // shards, so the raw thread-local totals would double-count).
-  const obs::ProfCounters prof_before = obs::tls_prof();
   if (params_.edge.enabled() && task_.pop >= 0) {
     edge::EdgeConfig ec;
     ec.pop_id = task_.pop;
@@ -542,11 +475,6 @@ FleetReport Shard::run() {
       e.aio_peak_inflight = s.aio.peak_inflight;
     }
   }
-  if (params_.breakdown) {
-    report.phases = treat_recorder_.breakdown();
-    report.baseline_phases = base_recorder_.breakdown();
-  }
-  report.prof = obs::tls_prof().delta(prof_before);
   return report;
 }
 

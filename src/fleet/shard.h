@@ -119,6 +119,9 @@ class Shard {
 
  private:
   std::shared_ptr<server::Site> site_for(int site_index);
+  /// Default engine: replays each user's whole timeline, arm by arm,
+  /// before moving to the next user.
+  FleetReport run_user_major();
   void replay_user(const UserProfile& profile, FleetReport& report);
   /// Streaming engine (params_.max_live_users > 0): time-ordered visit
   /// processing over a bounded live-user arena with park/revive.

@@ -51,14 +51,45 @@ TEST(FleetStreamingTest, ArenaOccupancyNeverExceedsLimit) {
   EXPECT_GT(report.parking.parked_bytes_peak, 0u);
 }
 
+/// Catalyst against the baseline arm with faults, the byte oracle and the
+/// phase breakdown on: exercises the baseline and PLT-reduction tallies
+/// that a single-arm fleet never reaches.
+FleetParams two_arm_params(std::uint64_t max_live_users) {
+  FleetParams params = fleet_params(max_live_users);
+  params.baseline = core::StrategyKind::Baseline;
+  params.faults.loss_rate = 0.01;
+  params.faults.stall_rate = 0.01 / 4.0;
+  params.options.byte_oracle = true;
+  params.breakdown = true;
+  return params;
+}
+
 TEST(FleetStreamingTest, ReportMatchesMaterialiseEverythingEngine) {
-  FleetRunner legacy(fleet_params(0), fleet_users(), 2);
-  const std::string legacy_bytes = legacy.run().serialize();
+  struct EngineCase {
+    const char* name;
+    FleetParams (*make)(std::uint64_t);
+    std::uint64_t users;
+    std::uint64_t arena;
+  };
+  // The two-arm fleet costs several times more per user (a second arm,
+  // the oracle audit, more network fetches), so it runs an eighth of the
+  // users through an eighth of the arena.
+  const EngineCase cases[] = {
+      {"single arm", fleet_params, fleet_users(), arena_limit()},
+      {"two arms", two_arm_params, fleet_users() / 8, arena_limit() / 8},
+  };
+  for (const EngineCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    FleetRunner legacy(c.make(0), c.users, 2);
+    const FleetReport legacy_report = legacy.run();
 
-  FleetRunner streaming(fleet_params(arena_limit()), fleet_users(), 2);
-  const std::string streaming_bytes = streaming.run().serialize();
+    FleetRunner streaming(c.make(c.arena), c.users, 2);
+    const FleetReport streaming_report = streaming.run();
 
-  EXPECT_EQ(streaming_bytes, legacy_bytes);
+    EXPECT_GT(streaming_report.parking.parks, 0u)
+        << "fleet too small to exercise parking";
+    EXPECT_EQ(streaming_report.serialize(), legacy_report.serialize());
+  }
 }
 
 TEST(FleetStreamingTest, ReportIsThreadCountInvariant) {

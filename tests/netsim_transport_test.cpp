@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace catalyst::netsim {
 namespace {
 
@@ -23,8 +26,19 @@ class TransportFixture : public ::testing::Test {
           reply.response = http::Response::make(http::Status::Ok);
           reply.response.body = std::string(response_size_, 'x');
           reply.response.finalize(loop_.now());
+          reply.pushes = pushes_;
           respond(std::move(reply));
         });
+  }
+
+  /// Queues a server push of `body_size` bytes on every reply.
+  void add_push(const char* target, std::size_t body_size) {
+    PushedResponse push;
+    push.target = target;
+    push.response = http::Response::make(http::Status::Ok);
+    push.response.body = std::string(body_size, 'p');
+    push.response.finalize(TimePoint{});
+    pushes_.push_back(std::move(push));
   }
 
   http::Request request(const char* target = "/") {
@@ -36,6 +50,7 @@ class TransportFixture : public ::testing::Test {
   int requests_seen_ = 0;
   std::string last_target_;
   std::size_t response_size_ = 1000;
+  std::vector<PushedResponse> pushes_;
 };
 
 TEST_F(TransportFixture, PlainTcpHandshakeCostsOneRtt) {
@@ -157,6 +172,50 @@ TEST_F(TransportFixture, ByteCountersTrackBothDirections) {
   loop_.run();
   EXPECT_EQ(conn.bytes_sent(), req_size);
   EXPECT_EQ(conn.bytes_received(), resp_size);
+}
+
+TEST_F(TransportFixture, H2PushChargesPromiseFrameAndResponse) {
+  add_push("/assets/style7.css", 20'000);
+  add_push("/a.js", 3);
+  Connection conn(net_, "client", "origin", false, Protocol::H2);
+  ByteCount resp_size = 0;
+  std::vector<std::string> promised;
+  std::vector<std::string> delivered;
+  conn.send_request(
+      request(), [&](http::Response resp) { resp_size = resp.wire_size(); },
+      [&](PushedResponse push) { delivered.push_back(push.target); },
+      [&](const std::string& target) { promised.push_back(target); });
+  loop_.run();
+  // Each push costs a PUSH_PROMISE frame (9-octet frame header, 4-octet
+  // promised stream id, ~32 header-block octets plus the target) and the
+  // pushed response's own wire size.
+  ByteCount expected = resp_size;
+  for (const PushedResponse& push : pushes_) {
+    expected += 9 + 4 + 32 + push.target.size() + push.response.wire_size();
+  }
+  EXPECT_EQ(conn.bytes_received(), expected);
+  // Promises arrive in push order; bodies share the downlink, so the
+  // small push lands first.
+  const std::vector<std::string> targets = {"/assets/style7.css", "/a.js"};
+  EXPECT_EQ(promised, targets);
+  EXPECT_EQ(delivered,
+            (std::vector<std::string>{"/a.js", "/assets/style7.css"}));
+}
+
+TEST_F(TransportFixture, H1NeverTakesThePushPath) {
+  add_push("/assets/style7.css", 20'000);
+  Connection conn(net_, "client", "origin", false, Protocol::H1);
+  ByteCount resp_size = 0;
+  int pushes = 0;
+  int promises = 0;
+  conn.send_request(
+      request(), [&](http::Response resp) { resp_size = resp.wire_size(); },
+      [&](PushedResponse) { ++pushes; },
+      [&](const std::string&) { ++promises; });
+  loop_.run();
+  EXPECT_EQ(conn.bytes_received(), resp_size);
+  EXPECT_EQ(pushes, 0);
+  EXPECT_EQ(promises, 0);
 }
 
 TEST_F(TransportFixture, MissingHandlerThrows) {

@@ -191,6 +191,14 @@ stage_diff() {
       > /tmp/stream_t4.json
   cmp /tmp/stream_legacy.json /tmp/stream_t1.json
   cmp /tmp/stream_t1.json /tmp/stream_t4.json
+  # Two arms (catalyst vs baseline) with faults, the oracle and the phase
+  # breakdown: covers the baseline and PLT-reduction tallies.
+  two_arm=(--users 400 --seed 7 --breakdown --oracle --loss 0.01)
+  "./$BUILD_DIR/tools/fleetsim" "${two_arm[@]}" --json 2>/dev/null \
+      > /tmp/stream2_legacy.json
+  "./$BUILD_DIR/tools/fleetsim" "${two_arm[@]}" --max-live-users 8 \
+      --json 2>/dev/null > /tmp/stream2_arena.json
+  cmp /tmp/stream2_legacy.json /tmp/stream2_arena.json
 }
 
 stage_perf() {
