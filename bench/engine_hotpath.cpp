@@ -5,7 +5,10 @@
 //
 // Micro section: ns/op for the structures the hot path runs on — string
 // interning, open-addressing map lookups, the pooled event loop, slab
-// pool cycling, batched Zipf draws, and the memoized body digest.
+// pool cycling, batched Zipf draws, the memoized body digest, and SHA-1
+// content-ETag throughput with the compression kernel this CPU selected
+// ("sha-ni" or "portable": a runner without the SHA extensions reads
+// several times slower there, and the JSON says why).
 //
 // Macro section: a fleet replay through the full engine (faults + edge
 // tier on, catalyst vs baseline arms, the fleetsim reference shape) and
@@ -41,9 +44,11 @@
 #include <vector>
 
 #include "fleet/runner.h"
+#include "http/etag.h"
 #include "netsim/event_loop.h"
 #include "obs/selfprof.h"
 #include "util/flat_hash.h"
+#include "util/hash.h"
 #include "util/intern.h"
 #include "util/json.h"
 #include "util/pool.h"
@@ -140,6 +145,18 @@ double bench_digest_memo(std::size_t iters) {
   return bench_ns(iters, [&](std::size_t) {
     keep(response.body_digest());  // memo hit — the steady-state path
   });
+}
+
+/// MB/s (10^6 bytes) of http::make_content_etag over 16 KiB bodies, about
+/// the size of an average generated resource.
+double bench_sha1_mb_per_s(std::size_t iters) {
+  std::string body(16 << 10, '\0');
+  Rng rng(16);
+  for (char& c : body) c = static_cast<char>(rng.next_u64());
+  const double ns = bench_ns(iters, [&](std::size_t) {
+    keep(http::make_content_etag(body));
+  });
+  return static_cast<double>(body.size()) / ns * 1e3;
 }
 
 struct MacroResult {
@@ -315,6 +332,8 @@ int main(int argc, char** argv) {
   micro.set("pool_cycle_ns", Json::number(bench_pool_cycle(iters)));
   micro.set("zipf_draw_ns", Json::number(bench_zipf_draw(iters / 10)));
   micro.set("digest_memo_hit_ns", Json::number(bench_digest_memo(iters)));
+  micro.set("sha1_mb_per_s", Json::number(bench_sha1_mb_per_s(iters / 200)));
+  micro.set("sha1_kernel", Json::string(Sha1::kernel_name()));
 
   std::fprintf(stderr, "engine_hotpath: macro fleet %llu users%s...\n",
                static_cast<unsigned long long>(users), h2 ? " (h2)" : "");

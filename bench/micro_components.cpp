@@ -1,10 +1,11 @@
 // MICRO — google-benchmark microbenchmarks of the substrate components:
-// the HTML tokenizer/parser the server's DOM scan runs on, ETag-map
-// encode/decode, SHA-1 ETag generation, cache operations, and the
-// event-driven fluid link.
+// the HTML tokenizer/parser the server's DOM scan runs on, the CSS
+// reference scanner, ETag-map encode/decode, SHA-1 ETag generation,
+// cache operations, and the event-driven fluid link.
 #include <benchmark/benchmark.h>
 
 #include "cache/http_cache.h"
+#include "html/css.h"
 #include "html/generate.h"
 #include "html/link_extract.h"
 #include "html/parser.h"
@@ -63,6 +64,25 @@ void BM_DomScanEndToEnd(benchmark::State& state) {
                           static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_DomScanEndToEnd)->Arg(64 << 10);
+
+void BM_CssScan(benchmark::State& state) {
+  // A sitegen-shaped stylesheet: a few image and font references, then
+  // generated rules. Both the Catalyst module's map build and the browser
+  // scan every stylesheet they handle.
+  std::vector<std::string> images, fonts;
+  for (int i = 0; i < 6; ++i) {
+    images.push_back("/img/bg" + std::to_string(i) + ".webp");
+  }
+  fonts.push_back("/fonts/body.woff2");
+  const std::string css = html::make_css(
+      images, fonts, {}, static_cast<ByteCount>(state.range(0)), 42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(html::extract_css_references(css));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(css.size()) *
+                          static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CssScan)->Arg(27 << 10);
 
 void BM_EtagConfigEncode(benchmark::State& state) {
   http::EtagConfig map;

@@ -56,26 +56,29 @@ void ByteOracle::add_site(std::shared_ptr<server::Site> site,
 void ByteOracle::add_alias(std::string host,
                            std::shared_ptr<server::Site> site,
                            BodyTransform html_transform) {
-  // Transformed HTML is memoized per (path, version) so repeat audits of
-  // the same content cost a map lookup, mirroring Resource's own memo.
+  // Untransformed truth is the Resource's own memoized digest. Transformed
+  // HTML digests are memoized per (path, version), so each rewritten body
+  // is built and digested once, not once per audit.
   auto memo = std::make_shared<
-      std::map<std::pair<std::string, std::uint64_t>, std::string>>();
+      std::map<std::pair<std::string, std::uint64_t>, std::uint64_t>>();
   origins_[std::move(host)] =
       [site = std::move(site), html_transform = std::move(html_transform),
-       memo](const std::string& path, TimePoint t) -> const std::string* {
+       memo](const std::string& path,
+             TimePoint t) -> std::optional<std::uint64_t> {
     const server::Resource* r = site->find(path);
-    if (r == nullptr) return nullptr;
+    if (r == nullptr) return std::nullopt;
     if (!html_transform ||
         r->resource_class() != http::ResourceClass::Html) {
-      return &r->content_at(t);
+      return r->content_digest_at(t);
     }
     const std::uint64_t version = r->version_at(t);
     auto [it, inserted] = memo->try_emplace({path, version});
     if (inserted) {
-      it->second = r->content_at(t);
-      html_transform(it->second);
+      std::string body = r->content_at(t);
+      html_transform(body);
+      it->second = fnv1a64(body);
     }
-    return &it->second;
+    return it->second;
   };
 }
 
@@ -92,25 +95,24 @@ netsim::ServeClass ByteOracle::classify(const Url& url,
     ++stats_.unauditable;
     return netsim::ServeClass::Unchecked;
   }
-  const std::string* truth = it->second(url.path, outcome.finish);
-  if (truth == nullptr) {
+  const std::optional<std::uint64_t> truth =
+      it->second(url.path, outcome.finish);
+  if (!truth) {
     ++stats_.unauditable;
     return netsim::ServeClass::Unchecked;
   }
 
   ++stats_.checked;
   const std::uint64_t served = outcome.response.body_digest();
-  if (served == fnv1a64(*truth)) {
+  if (served == *truth) {
     ++stats_.fresh;
     return netsim::ServeClass::Fresh;
   }
   // The content changed mid-flight cases: a fetch started before a version
   // flip can legitimately deliver the version current at its start time.
-  if (const std::string* at_start = it->second(url.path, outcome.start)) {
-    if (served == fnv1a64(*at_start)) {
-      ++stats_.fresh;
-      return netsim::ServeClass::Fresh;
-    }
+  if (served == it->second(url.path, outcome.start)) {
+    ++stats_.fresh;
+    return netsim::ServeClass::Fresh;
   }
 
   // Unkeyed-input reflection check, ahead of the freshness excuse: a
@@ -147,7 +149,7 @@ netsim::ServeClass ByteOracle::classify(const Url& url,
       v.start = outcome.start;
       v.finish = outcome.finish;
       v.served_digest = served;
-      v.expected_digest = fnv1a64(*truth);
+      v.expected_digest = *truth;
       v.kind = kind;
       violations_.push_back(std::move(v));
     }
@@ -172,7 +174,7 @@ netsim::ServeClass ByteOracle::classify(const Url& url,
     v.start = outcome.start;
     v.finish = outcome.finish;
     v.served_digest = served;
-    v.expected_digest = fnv1a64(*truth);
+    v.expected_digest = *truth;
     violations_.push_back(std::move(v));
   }
   return netsim::ServeClass::Violation;

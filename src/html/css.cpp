@@ -1,10 +1,20 @@
 #include "html/css.h"
 
+#include <array>
+
 #include "util/strings.h"
 
 namespace catalyst::html {
 
 namespace {
+
+/// Bytes that can open a construct the scanner extracts: "/*",
+/// "@import" and "url(" (any case). No other byte can start a match.
+constexpr std::array<bool, 256> kOpensConstruct = [] {
+  std::array<bool, 256> table{};
+  for (const unsigned char c : {'/', '@', 'u', 'U'}) table[c] = true;
+  return table;
+}();
 
 /// Returns the quoted or unquoted string starting at `pos`; advances pos
 /// past it. Empty result on malformed input.
@@ -31,13 +41,9 @@ std::vector<CssReference> extract_css_references(std::string_view css) {
   std::vector<CssReference> out;
   std::size_t pos = 0;
   while (pos < css.size()) {
-    // Fast path: every construct we extract opens with '/', '@' or
-    // 'u'/'U' ("/*", "@import", "url("); any other byte cannot start a
-    // match, so skip it without running the prefix comparisons.
-    const char c = css[pos];
-    if (c != '/' && c != '@' && c != 'u' && c != 'U') {
-      ++pos;
-      continue;
+    // Jump to the next byte that can open a construct.
+    while (!kOpensConstruct[static_cast<unsigned char>(css[pos])]) {
+      if (++pos == css.size()) return out;
     }
     // Skip comments.
     if (css.substr(pos, 2) == "/*") {

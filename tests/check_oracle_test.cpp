@@ -10,6 +10,7 @@
 #include "html/generate.h"
 #include "http/date.h"
 #include "server/catalyst_module.h"
+#include "util/hash.h"
 #include "workload/sitegen.h"
 
 namespace catalyst {
@@ -182,6 +183,73 @@ TEST(ByteOracleTest, HtmlTransformFoldsOriginRewriteIntoGroundTruth) {
                 url, outcome_with(site->find("/index.html")->content_at(t),
                                   t)),
             ServeClass::Violation);
+}
+
+/// Catalyst-decorated HTML whose content changes every hour (first change
+/// at t=30min) and which is never fresh without revalidation.
+std::shared_ptr<server::Site> changing_html_site() {
+  auto site = std::make_shared<server::Site>("osite.example");
+  site->add_resource(std::make_unique<server::Resource>(
+      "/index.html", http::ResourceClass::Html, 0,
+      [](std::uint64_t v) {
+        html::HtmlBuilder page("oracle v" + std::to_string(v));
+        page.add_stylesheet("/a.css");
+        return page.build();
+      },
+      server::ChangeProcess::periodic(hours(1), minutes(30), hours(48)),
+      http::CacheControl::revalidate_always()));
+  return site;
+}
+
+std::string decorated_html(const server::Site& site, TimePoint t) {
+  std::string body = site.find("/index.html")->content_at(t);
+  server::CatalystModule::inject_registration(body);
+  return body;
+}
+
+void add_catalyst_site(ByteOracle& oracle,
+                       std::shared_ptr<server::Site> site) {
+  oracle.add_site(std::move(site), [](std::string& body) {
+    server::CatalystModule::inject_registration(body);
+  });
+}
+
+TEST(ByteOracleTest, StaleTransformedHtmlExpectsTransformedDigest) {
+  // Ground truth is the digest of the body the origin would serve now:
+  // the *decorated* current HTML, not the raw resource content.
+  auto site = changing_html_site();
+  ByteOracle oracle;
+  add_catalyst_site(oracle, site);
+  const Url url = *Url::parse("https://osite.example/index.html");
+  const TimePoint before = TimePoint{} + minutes(29);
+  const TimePoint after = TimePoint{} + minutes(40);
+  ASSERT_NE(decorated_html(*site, before), decorated_html(*site, after));
+  EXPECT_EQ(oracle.classify(url, outcome_with(decorated_html(*site, before),
+                                              after)),
+            ServeClass::Violation);
+  ASSERT_EQ(oracle.violations().size(), 1u);
+  EXPECT_EQ(oracle.violations()[0].expected_digest,
+            fnv1a64(decorated_html(*site, after)));
+  EXPECT_EQ(oracle.violations()[0].served_digest,
+            fnv1a64(decorated_html(*site, before)));
+}
+
+TEST(ByteOracleTest, TransformedHtmlFetchSpanningFlipIsFreshAtStartTime) {
+  // Decorated HTML fetched across a version flip matches the memoized
+  // digest at its start time, not at its finish time.
+  auto site = changing_html_site();
+  ByteOracle oracle;
+  add_catalyst_site(oracle, site);
+  const Url url = *Url::parse("https://osite.example/index.html");
+  FetchOutcome out = outcome_with(
+      decorated_html(*site, TimePoint{} + minutes(29)),
+      TimePoint{} + minutes(29));
+  out.finish = TimePoint{} + minutes(31);
+  EXPECT_EQ(oracle.classify(url, out), ServeClass::Fresh);
+  // Audited again once both versions are memoized, same verdict.
+  EXPECT_EQ(oracle.classify(url, out), ServeClass::Fresh);
+  EXPECT_EQ(oracle.stats().fresh, 2u);
+  EXPECT_EQ(oracle.stats().violations, 0u);
 }
 
 TEST(ByteOracleTest, EdgeAliasAuditsPopHostAgainstSite) {

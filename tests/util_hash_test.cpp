@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace catalyst {
 namespace {
@@ -52,6 +55,82 @@ TEST(Sha1Test, BoundaryLengths) {
     Sha1 s;
     s.update(input);
     EXPECT_EQ(s.finalize(), Sha1::digest(input)) << "len=" << len;
+  }
+}
+
+// Differential tests of the two compression kernels. Each digest is fed
+// through Sha1::update() in randomly sized pieces, so partial-buffer
+// top-ups, single buffered blocks and multi-block runs all reach the
+// kernel under test.
+
+/// FIPS 180 known answers: "abc", the 448-bit message, a million 'a's.
+std::vector<std::pair<std::string, std::string>> fips_vectors() {
+  return {
+      {"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "84983e441c3bd26ebaae4aa1f95129e5e54670f1"},
+      {std::string(1000000, 'a'), "34aa973cd4c4daa4f61eeb2bdbad27316534016f"},
+  };
+}
+
+std::string digest_in_pieces(detail::Sha1BlocksFn kernel,
+                             std::string_view data, std::mt19937_64& rng) {
+  Sha1 s(kernel);
+  std::size_t pos = 0;
+  while (pos < data.size()) {
+    // Mostly short pieces, sometimes a long run of whole blocks.
+    const std::size_t limit = rng() % 4 == 0 ? 1024 : 80;
+    const std::size_t take =
+        std::min<std::size_t>(rng() % (limit + 1), data.size() - pos);
+    s.update(data.substr(pos, take));
+    pos += take;
+  }
+  const Sha1::Digest d = s.finalize();
+  return to_hex(d.data(), d.size());
+}
+
+/// One seeded random input of every length 0..4096.
+std::vector<std::string> random_inputs() {
+  std::mt19937_64 rng(20240601);
+  std::vector<std::string> inputs;
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    std::string s(len, '\0');
+    for (char& c : s) c = static_cast<char>(rng());
+    inputs.push_back(std::move(s));
+  }
+  return inputs;
+}
+
+TEST(Sha1KernelTest, PortableKernelFipsVectorsAndRandomSplits) {
+  std::mt19937_64 rng(1);
+  for (const auto& [input, expected] : fips_vectors()) {
+    EXPECT_EQ(digest_in_pieces(&detail::sha1_blocks_portable, input, rng),
+              expected);
+  }
+  for (const std::string& input : random_inputs()) {
+    Sha1 one_shot(&detail::sha1_blocks_portable);
+    one_shot.update(input);
+    const Sha1::Digest d = one_shot.finalize();
+    ASSERT_EQ(digest_in_pieces(&detail::sha1_blocks_portable, input, rng),
+              to_hex(d.data(), d.size()))
+        << "len=" << input.size();
+  }
+}
+
+TEST(Sha1KernelTest, ShaNiKernelMatchesPortable) {
+  const detail::Sha1BlocksFn shani = detail::sha1_shani_kernel();
+  if (shani == nullptr) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions (sha_ni) or is not x86-64";
+  }
+  EXPECT_STREQ(Sha1::kernel_name(), "sha-ni");
+  std::mt19937_64 rng(2);
+  for (const auto& [input, expected] : fips_vectors()) {
+    EXPECT_EQ(digest_in_pieces(shani, input, rng), expected);
+  }
+  for (const std::string& input : random_inputs()) {
+    ASSERT_EQ(digest_in_pieces(shani, input, rng),
+              digest_in_pieces(&detail::sha1_blocks_portable, input, rng))
+        << "len=" << input.size();
   }
 }
 

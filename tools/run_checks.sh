@@ -16,7 +16,8 @@
 #   perf    — engine_hotpath --smoke gated against bench/baselines/
 #             hotpath.json (fails on >20% macro throughput regression)
 #             plus the edge_offload --smoke flash sweep and the
-#             --breakdown overhead gate (>=97% of off-throughput).
+#             --breakdown overhead gate (>=97% of off-throughput); echoes
+#             the SHA-1 ETag kernel and its MB/s beside events/sec.
 #             Both BENCH_*.json artifacts are written before the gate
 #             verdict so a regression still uploads its numbers
 #   asan    — ASan+UBSan build, oracle/robustness/perf/fleet labels (the
@@ -214,6 +215,19 @@ stage_perf() {
       --out BENCH_hotpath.json \
       --baseline bench/baselines/hotpath.json || hotpath_rc=$?
 
+  # The trend line CI's step summary prints: a runner without the SHA
+  # extensions hashes ETags several times slower, and says so here.
+  if [ -f BENCH_hotpath.json ]; then
+    python3 - <<'PY'
+import json
+run = json.load(open("BENCH_hotpath.json"))
+micro = run["micro"]
+print(f"perf trend: smoke macro {run['macro']['events_per_sec']:,.0f} "
+      f"events/sec; SHA-1 ETag kernel {micro['sha1_kernel']}, "
+      f"{micro['sha1_mb_per_s']:,.0f} MB/s")
+PY
+  fi
+
   echo "== perf smoke: edge_offload flash sweep =="
   # Exercises the flash-enabled offload sweep end to end (RAM-only and
   # two-tier points plus the read-merge probe); no gating baseline yet.
@@ -235,11 +249,12 @@ stage_asan() {
   # Only targets built in this tree register with ctest, so the fleet
   # label here means exactly the parked-blob fuzz + streaming tests —
   # corrupted revives are decode-of-hostile-bytes and must be UB-clean.
+  # The perf label includes the SHA-1 kernel differential test.
   configure "$ASAN_BUILD_DIR" -DCATALYST_SANITIZE=address
   cmake --build "$ASAN_BUILD_DIR" -j"$JOBS" --target \
       check_oracle_test check_replay_test robustness_test \
       netsim_faults_test client_retry_test \
-      util_intern_test util_flat_hash_test util_pool_test \
+      util_intern_test util_flat_hash_test util_pool_test util_hash_test \
       fleet_parked_state_test fleet_streaming_test
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure \
       --timeout "$CTEST_TIMEOUT" -L 'oracle|robustness|perf|fleet'
