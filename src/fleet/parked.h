@@ -1,6 +1,6 @@
 // ParkedUser blobs: compact, versioned snapshots of a user's client-side
 // state (HttpCache + Service Workers + EtagConfig + retry/negative-cache
-// progress), taken between visits by the streaming shard engine.
+// progress), taken between visits (DESIGN.md §12 names the callers).
 //
 // A parked user costs bytes instead of a live testbed: the blob carries
 // only decisions the simulation cannot re-derive. Everything re-derivable
@@ -38,7 +38,7 @@ enum class ReviveStatus {
 struct ReviveResult {
   ReviveStatus status = ReviveStatus::Corrupt;
   /// Straggler events drained at park time, owed to the next visit's
-  /// loop_events so streaming totals match the legacy engine.
+  /// loop_events so event totals match a never-parked replay.
   std::uint64_t treat_stragglers = 0;
   std::uint64_t base_stragglers = 0;
 };

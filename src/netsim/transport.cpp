@@ -87,9 +87,9 @@ void Connection::send_request(http::Request request,
   queue_.push_back(PendingRequest{std::move(request), std::move(on_response),
                                   std::move(on_push), std::move(on_promise),
                                   std::move(on_hints), std::move(on_error),
-                                  FaultDecision{}});
-  queue_.back().enqueued = network_.loop().now();
-  queue_.back().handshake_owner = initiates_handshake;
+                                  FaultDecision{}, network_.loop().now(),
+                                  TimePoint{}, initiates_handshake,
+                                  obs::PhaseTimeline{}});
   if (state_ != State::Established) {
     connect([] {});
     return;  // pump() runs on establishment

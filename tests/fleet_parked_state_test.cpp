@@ -2,7 +2,9 @@
 // deterministic bytes, restore(snapshot(s)) replays the next visit
 // behaviourally identically (same hits / misses / conditional GETs, same
 // timings), and corrupted blobs — truncated, bit-flipped, wrong-version —
-// fail closed into a cold revive without touching the testbed.
+// fail closed into a cold revive without touching the testbed. The states
+// span single- and two-arm blobs, parks after the cold load and after
+// later visits, and users audited by the byte oracle.
 #include "fleet/parked.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -60,7 +63,11 @@ struct StateCase {
   UserProfile profile;
   std::shared_ptr<server::Site> site;
   core::StrategyKind kind = core::StrategyKind::Catalyst;
+  /// Comparison arm parked into the same blob (two-arm fleets), if any.
+  std::optional<core::StrategyKind> base_kind;
   netsim::FaultSpec faults;
+  bool oracle = false;
+  std::size_t parked_after = 1;  // visits replayed before the park
   TimePoint probe;  // the next-visit time the behavioural probe replays
 };
 
@@ -72,6 +79,13 @@ StateCase case_for(std::uint64_t i) {
   // the HTTP cache — both shapes of blob must round-trip.
   c.kind = i % 3 == 2 ? core::StrategyKind::Baseline
                       : core::StrategyKind::Catalyst;
+  if (i % 5 == 1) {
+    // Two-arm blob: the other strategy rides along as the baseline arm,
+    // so a Catalyst base arm (with its origin scan memo) is covered too.
+    c.base_kind = c.kind == core::StrategyKind::Catalyst
+                      ? core::StrategyKind::Baseline
+                      : core::StrategyKind::Catalyst;
+  }
   if (i % 7 == 0) {
     // A fault slice: parked blobs must carry the decision-stream ordinal
     // so revived users resume the same fault schedule.
@@ -79,24 +93,42 @@ StateCase case_for(std::uint64_t i) {
     c.faults.server_error_rate = 0.05;
     c.faults.stream = i;
   }
+  c.oracle = i % 6 == 4;
   const auto& visits = c.profile.visits;
-  c.probe = visits.size() > 1 ? visits[1] : visits[0] + hours(6);
+  // Park after the second-to-last visit when the timeline allows it, so
+  // warm state (revalidated entries, replaced maps) parks too.
+  if (i % 4 == 3 && visits.size() > 2) c.parked_after = visits.size() - 1;
+  c.probe = visits.size() > c.parked_after ? visits[c.parked_after]
+                                           : visits.back() + hours(6);
   return c;
 }
 
-core::Testbed make_case_testbed(const StateCase& c) {
+core::Testbed make_case_testbed(const StateCase& c, core::StrategyKind kind) {
   core::StrategyOptions options;
   options.mobile_client = c.profile.mobile_client;
+  options.byte_oracle = c.oracle;
   netsim::NetworkConditions conditions = conditions_for(c.profile.tier);
   conditions.faults = c.faults;
-  return core::make_testbed(c.site, conditions, c.kind, options);
+  return core::make_testbed(c.site, conditions, kind, options);
 }
 
-/// Builds the parked state: run the cold visit, drain stragglers, park.
+core::Testbed make_case_testbed(const StateCase& c) {
+  return make_case_testbed(c, c.kind);
+}
+
+/// Replays the visits before the park point and drains stragglers;
+/// returns the drained event count the blob carries.
+std::uint64_t run_to_park(const StateCase& c, core::Testbed& tb) {
+  for (std::size_t v = 0; v < c.parked_after; ++v) {
+    core::run_visit(tb, c.profile.visits[v]);
+  }
+  return tb.loop->run();
+}
+
+/// Builds the single-arm parked state (the treatment arm only).
 std::string park_state(const StateCase& c, core::Testbed& tb,
                        std::uint64_t& stragglers) {
-  core::run_visit(tb, c.profile.visits.front());
-  stragglers = tb.loop->run();
+  stragglers = run_to_park(c, tb);
   return park_user(c.profile.user_id, tb, stragglers, nullptr, 0);
 }
 
@@ -113,6 +145,9 @@ void expect_same_visit(const client::PageLoadResult& a,
   EXPECT_EQ(a.bytes_downloaded, b.bytes_downloaded);
   EXPECT_EQ(a.rtts, b.rtts);
   EXPECT_EQ(a.negative_hits, b.negative_hits);
+  EXPECT_EQ(a.oracle_checked, b.oracle_checked);
+  EXPECT_EQ(a.oracle_allowed_stale, b.oracle_allowed_stale);
+  EXPECT_EQ(a.oracle_violations, b.oracle_violations);
   EXPECT_EQ(a.plt().count(), b.plt().count());
   EXPECT_EQ(check::trace_to_jsonl(a, uid, 1), check::trace_to_jsonl(b, uid, 1));
 }
@@ -120,27 +155,41 @@ void expect_same_visit(const client::PageLoadResult& a,
 TEST(FleetParkedStateTest, ThousandStatesRoundTripExactly) {
   for (std::uint64_t i = 0; i < kStates; ++i) {
     const StateCase c = case_for(i);
+    const std::uint64_t uid = c.profile.user_id;
     core::Testbed live = make_case_testbed(c);
-    std::uint64_t stragglers = 0;
-    const std::string blob = park_state(c, live, stragglers);
+    std::optional<core::Testbed> live_base;
+    if (c.base_kind) live_base.emplace(make_case_testbed(c, *c.base_kind));
+    const std::uint64_t stragglers = run_to_park(c, live);
+    const std::uint64_t base_stragglers =
+        live_base ? run_to_park(c, *live_base) : 0;
+    core::Testbed* live_base_ptr = live_base ? &*live_base : nullptr;
+    const std::string blob =
+        park_user(uid, live, stragglers, live_base_ptr, base_stragglers);
     ASSERT_FALSE(blob.empty()) << "state " << i;
 
-    // Revive into a fresh testbed; parking it again must reproduce the
+    // Revive into fresh testbeds; parking them again must reproduce the
     // exact bytes (park ∘ revive is the identity on blobs).
     core::Testbed revived = make_case_testbed(c);
-    const ReviveResult rv =
-        revive_user(blob, c.profile.user_id, revived, nullptr);
+    std::optional<core::Testbed> revived_base;
+    if (c.base_kind) revived_base.emplace(make_case_testbed(c, *c.base_kind));
+    core::Testbed* revived_base_ptr = revived_base ? &*revived_base : nullptr;
+    const ReviveResult rv = revive_user(blob, uid, revived, revived_base_ptr);
     ASSERT_EQ(rv.status, ReviveStatus::Ok) << "state " << i;
     EXPECT_EQ(rv.treat_stragglers, stragglers) << "state " << i;
-    const std::string reblob = park_user(c.profile.user_id, revived,
-                                         rv.treat_stragglers, nullptr, 0);
+    EXPECT_EQ(rv.base_stragglers, base_stragglers) << "state " << i;
+    const std::string reblob =
+        park_user(uid, revived, rv.treat_stragglers, revived_base_ptr,
+                  rv.base_stragglers);
     ASSERT_EQ(reblob, blob) << "state " << i;
 
     // Behavioural identity: the revived user replays its next visit
-    // exactly like the never-parked one.
-    const client::PageLoadResult r_live = core::run_visit(live, c.probe);
-    const client::PageLoadResult r_revived = core::run_visit(revived, c.probe);
-    expect_same_visit(r_live, r_revived, c.profile.user_id);
+    // exactly like the never-parked one, on every parked arm.
+    expect_same_visit(core::run_visit(live, c.probe),
+                      core::run_visit(revived, c.probe), uid);
+    if (live_base) {
+      expect_same_visit(core::run_visit(*live_base, c.probe),
+                        core::run_visit(*revived_base, c.probe), uid);
+    }
     if (::testing::Test::HasFailure()) FAIL() << "diverged at state " << i;
   }
 }

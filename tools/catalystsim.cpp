@@ -1,10 +1,14 @@
 // catalystsim — command-line driver for the simulation library.
 //
-//   catalystsim site     --index N [--clone] [--third-party F]
+//   catalystsim site     --index N [--seed S] [--clone] [--third-party F]
 //   catalystsim run      --index N --strategy S [--rtt MS] [--mbps M]
-//                        [--delay-hours H] [--clone]
-//   catalystsim sweep    --sites N [--rtt MS] [--mbps M] [--clone]
+//                        [--delay-hours H] [--seed S] [--clone]
+//                        [--third-party F]
+//   catalystsim sweep    --sites N [--rtt MS] [--mbps M] [--seed S]
+//                        [--clone] [--third-party F]
 //   catalystsim fig1
+//
+// Each subcommand rejects flags it does not read (usage, exit 2).
 //
 // Strategies: baseline catalyst catalyst+learn push-all push-learned
 //             push-digest early-hints rdr-proxy oracle
@@ -15,6 +19,7 @@
 #include <optional>
 #include <string>
 
+#include "args.h"
 #include "core/experiment.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -23,36 +28,6 @@
 using namespace catalyst;
 
 namespace {
-
-/// Minimal --flag/value parser: flags may be "--name value" or "--name".
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
-      }
-    }
-  }
-
-  bool has(const std::string& key) const { return values_.contains(key); }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double num(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 std::optional<core::StrategyKind> parse_strategy(const std::string& name) {
   using core::StrategyKind;
@@ -72,7 +47,7 @@ std::optional<core::StrategyKind> parse_strategy(const std::string& name) {
   return it->second;
 }
 
-workload::SitegenParams params_from(const Args& args) {
+workload::SitegenParams params_from(const tools::Args& args) {
   workload::SitegenParams p;
   p.seed = static_cast<std::uint64_t>(args.num("seed", 2024));
   p.site_index = static_cast<int>(args.num("index", 0));
@@ -81,7 +56,7 @@ workload::SitegenParams params_from(const Args& args) {
   return p;
 }
 
-netsim::NetworkConditions conditions_from(const Args& args) {
+netsim::NetworkConditions conditions_from(const tools::Args& args) {
   netsim::NetworkConditions c = netsim::NetworkConditions::median_5g();
   c.rtt = milliseconds_f(args.num("rtt", 40));
   c.downlink = mbps(args.num("mbps", 60));
@@ -89,7 +64,7 @@ netsim::NetworkConditions conditions_from(const Args& args) {
   return c;
 }
 
-int cmd_site(const Args& args) {
+int cmd_site(const tools::Args& args) {
   const auto bundle = workload::generate_site_bundle(params_from(args));
   Table table(str_format("%s — %zu resources, %s (+%zu third-party "
                          "origins)",
@@ -120,7 +95,7 @@ int cmd_site(const Args& args) {
   return 0;
 }
 
-int cmd_run(const Args& args) {
+int cmd_run(const tools::Args& args) {
   const auto kind = parse_strategy(args.get("strategy", "catalyst"));
   if (!kind) {
     std::fprintf(stderr, "unknown strategy\n");
@@ -152,7 +127,7 @@ int cmd_run(const Args& args) {
   return 0;
 }
 
-int cmd_sweep(const Args& args) {
+int cmd_sweep(const tools::Args& args) {
   const int n = static_cast<int>(args.num("sites", 20));
   const auto conditions = conditions_from(args);
   std::vector<std::shared_ptr<server::Site>> sites;
@@ -195,9 +170,11 @@ void usage() {
       "usage: catalystsim <site|run|sweep|fig1> [--flags]\n"
       "  site  --index N [--seed S] [--clone] [--third-party F]\n"
       "  run   --index N --strategy S [--rtt MS] [--mbps M]\n"
-      "        [--delay-hours H] [--clone] [--third-party F]\n"
-      "  sweep --sites N [--rtt MS] [--mbps M] [--clone]\n"
-      "  fig1\n");
+      "        [--delay-hours H] [--seed S] [--clone] [--third-party F]\n"
+      "  sweep --sites N [--rtt MS] [--mbps M] [--seed S] [--clone]\n"
+      "        [--third-party F]\n"
+      "  fig1\n"
+      "Unknown flags print this text and exit 2.\n");
 }
 
 }  // namespace
@@ -207,12 +184,27 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  const Args args(argc, argv);
   const std::string cmd = argv[1];
-  if (cmd == "site") return cmd_site(args);
-  if (cmd == "run") return cmd_run(args);
-  if (cmd == "sweep") return cmd_sweep(args);
-  if (cmd == "fig1") return cmd_fig1();
+  if (cmd == "site") {
+    return cmd_site(tools::Args(argc, argv, 2,
+                                {"index", "seed", "clone", "third-party"},
+                                usage));
+  }
+  if (cmd == "run") {
+    return cmd_run(tools::Args(argc, argv, 2,
+                               {"index", "seed", "clone", "third-party",
+                                "strategy", "rtt", "mbps", "delay-hours"},
+                               usage));
+  }
+  if (cmd == "sweep") {
+    return cmd_sweep(tools::Args(
+        argc, argv, 2,
+        {"sites", "seed", "clone", "third-party", "rtt", "mbps"}, usage));
+  }
+  if (cmd == "fig1") {
+    const tools::Args none(argc, argv, 2, {}, usage);
+    return cmd_fig1();
+  }
   usage();
   return 2;
 }

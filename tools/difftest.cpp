@@ -1,8 +1,10 @@
 // difftest — randomized differential testing across caching strategies.
 //
-//   difftest --rounds N [--seed S] [--mutate stale-serve] [--verbose]
-//            [--users N] [--visits N] [--no-faults] [--no-edge]
-//            [--static-site] [--no-third-party]
+//   difftest --rounds N [--seed S]
+//            [--mutate stale-serve|unkeyed-header|parked-corrupt]
+//            [--verbose] [--users N] [--visits N] [--no-faults] [--no-edge]
+//            [--no-flash] [--static-site] [--no-third-party] [--no-negative]
+//            [--no-dead-links] [--h2] [--no-h2]
 //
 // Each round draws a workload from its round seed (seed + round index):
 // a generated site (sitegen × TTL profile × change model × third-party
@@ -35,8 +37,8 @@
 // reflects that header, and a scripted adversary strikes before every
 // visit. The run passes only when the oracle flags a poisoned-serve or
 // cross-user-leak violation.
-// --mutate parked-corrupt targets the streaming shard engine's blob
-// codec: each round parks users between visits, corrupts the blob
+// --mutate parked-corrupt targets the ParkedUser blob codec
+// (src/fleet/parked): each round parks users between visits, corrupts the blob
 // (truncation, bit flips, a version patch with a re-sealed checksum),
 // and passes only if every corrupted revive fails closed
 // (ReviveStatus::Corrupt) while the pristine blob still revives Ok and
@@ -52,6 +54,7 @@
 #include <string_view>
 #include <vector>
 
+#include "args.h"
 #include "cache/freshness.h"
 #include "core/experiment.h"
 #include "core/testbed.h"
@@ -67,34 +70,6 @@
 using namespace catalyst;
 
 namespace {
-
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
-      }
-    }
-  }
-  bool has(const std::string& key) const { return values_.contains(key); }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double num(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 /// Deliberately planted defects for oracle self-tests. Each inverts the
 /// pass criterion: the run succeeds only if the oracle catches the bug.
@@ -558,7 +533,7 @@ std::string repro_command(const RoundConfig& cfg, std::uint64_t base_seed,
 
 /// Applies CLI overrides (used both for reproing a minimized config and
 /// for narrowing exploration).
-void apply_overrides(RoundConfig& cfg, const Args& args) {
+void apply_overrides(RoundConfig& cfg, const tools::Args& args) {
   if (args.has("no-faults")) cfg.faults = false;
   if (args.has("no-negative")) cfg.negative = false;
   if (args.has("no-dead-links")) cfg.dead_links = 0.0;
@@ -748,7 +723,12 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const tools::Args args(
+      argc, argv, 1,
+      {"help", "rounds", "seed", "mutate", "verbose", "users", "visits",
+       "no-faults", "no-edge", "no-flash", "static-site", "no-third-party",
+       "no-negative", "no-dead-links", "h2", "no-h2"},
+      usage);
   if (args.has("help")) {
     usage();
     return 0;

@@ -6,13 +6,17 @@
 //            [--loss P] [--outage F] [--fault-seed S]
 //            [--edge-pops N] [--edge-capacity-mb M] [--edge-origin-rtt-ms R]
 //            [--edge-flash-mb M] [--edge-flash-lat-us U] [--edge-flash-qd Q]
-//            [--h2] [--breakdown] [--self-profile] [--json] [--live]
+//            [--negative-ttl-s T] [--dead-links F] [--adversary]
+//            [--adversary-rate R] [--adversary-seed S] [--vulnerable-keying]
+//            [--oracle] [--trace-users N] [--trace-out F]
+//            [--h2] [--breakdown] [--self-profile] [--json]
 //
 // Runs N independent user sessions (Zipf site popularity, Poisson revisit
 // schedules, mixed access tiers) under the chosen strategy, replays the
 // same users under --baseline to price RTTs/bytes saved, and prints the
 // merged FleetReport. The report on stdout is byte-identical for any
 // --threads value; timing goes to stderr so it never perturbs that.
+// Unknown flags are an error (exit 2), never silently ignored.
 //
 // Strategies: baseline catalyst catalyst+learn push-all push-learned
 //             push-digest early-hints rdr-proxy oracle
@@ -22,6 +26,7 @@
 #include <optional>
 #include <string>
 
+#include "args.h"
 #include "fleet/runner.h"
 #include "obs/selfprof.h"
 #include "util/strings.h"
@@ -29,36 +34,6 @@
 using namespace catalyst;
 
 namespace {
-
-/// Minimal --flag/value parser: flags may be "--name value" or "--name".
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
-      }
-    }
-  }
-
-  bool has(const std::string& key) const { return values_.contains(key); }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double num(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 std::optional<core::StrategyKind> parse_strategy(const std::string& name) {
   using core::StrategyKind;
@@ -83,7 +58,6 @@ void usage() {
       stderr,
       "usage: fleetsim --users N [--threads T] [--seed S] [--strategy K]\n"
       "                [--baseline K] [--sites N] [--shard-size N]\n"
-      "                [--max-live-users N]\n"
       "                [--horizon-days D] [--mean-gap-hours H]\n"
       "                [--max-visits V] [--loss P] [--outage F]\n"
       "                [--fault-seed S] [--edge-pops N]\n"
@@ -92,18 +66,14 @@ void usage() {
       "                [--edge-flash-lat-us U] [--edge-flash-qd Q]\n"
       "                [--negative-ttl-s T] [--dead-links F] [--adversary]\n"
       "                [--adversary-rate R] [--adversary-seed S]\n"
-      "                [--vulnerable-keying] [--h2] [--breakdown]\n"
-      "                [--self-profile] [--json]\n"
+      "                [--vulnerable-keying] [--oracle]\n"
+      "                [--trace-users N] [--trace-out F] [--h2]\n"
+      "                [--breakdown] [--self-profile] [--json]\n"
       "\n"
-      "  --max-live-users N  streaming shard engine: keep at most N users\n"
-      "                 materialized per shard; the rest park as compact\n"
-      "                 serialized blobs between visits, so million-user\n"
-      "                 fleets run in O(N) resident testbed memory. The\n"
-      "                 report stays byte-identical to the default engine\n"
-      "                 and to any --threads value. Incompatible with\n"
-      "                 --edge-pops, --adversary, and strategies with\n"
-      "                 cross-visit server state (catalyst+learn,\n"
-      "                 push-learned, rdr-proxy). Default 0: off.\n"
+      "Replays each user's whole visit timeline, arm by arm, one user at a\n"
+      "time per worker thread, so resident memory stays flat in --users.\n"
+      "Unknown flags print this text and exit 2.\n"
+      "\n"
       "  --loss P       per-request fault probability: P mid-stream drops\n"
       "                 plus P/4 silent stalls (default 0: no fault layer)\n"
       "  --outage F     fraction of each hour origins are dark (default 0)\n"
@@ -158,7 +128,17 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const tools::Args args(
+      argc, argv, 1,
+      {"help", "users", "threads", "seed", "strategy", "baseline", "sites",
+       "shard-size", "horizon-days", "mean-gap-hours", "max-visits", "loss",
+       "outage", "fault-seed", "edge-pops", "edge-capacity-mb",
+       "edge-origin-rtt-ms", "edge-no-admission", "edge-flash-mb",
+       "edge-flash-lat-us", "edge-flash-qd", "negative-ttl-s", "dead-links",
+       "adversary", "adversary-rate", "adversary-seed", "vulnerable-keying",
+       "oracle", "trace-users", "trace-out", "h2", "breakdown",
+       "self-profile", "json"},
+      usage);
   if (args.has("help")) {
     usage();
     return 0;
@@ -343,48 +323,6 @@ int main(int argc, char** argv) {
   const bool self_profile = args.has("self-profile");
   obs::set_timing(self_profile);
 
-  // Streaming shard engine (default-off). Parked blobs snapshot *client*
-  // state only, so configurations with cross-visit state outside the
-  // browser — shared edge caches, the scripted adversary, server-side
-  // session learning, the RDR proxy's cache — are config errors, not
-  // silently wrong runs.
-  const double max_live = args.num("max-live-users", 0);
-  if (args.has("max-live-users") && max_live < 1) {
-    std::fprintf(stderr,
-                 "fleetsim: --max-live-users must be a positive user count "
-                 "(got %s)\n",
-                 args.get("max-live-users", "").c_str());
-    return 2;
-  }
-  params.max_live_users = static_cast<std::uint64_t>(max_live);
-  if (params.max_live_users > 0) {
-    if (params.edge.pops > 0) {
-      std::fprintf(stderr,
-                   "fleetsim: --max-live-users is incompatible with "
-                   "--edge-pops (shared PoP caches cannot be parked "
-                   "per-user)\n");
-      return 2;
-    }
-    if (params.options.adversary.enabled) {
-      std::fprintf(stderr,
-                   "fleetsim: --max-live-users is incompatible with "
-                   "--adversary\n");
-      return 2;
-    }
-    for (const core::StrategyKind k : {params.strategy, params.baseline}) {
-      if (k == core::StrategyKind::CatalystLearned ||
-          k == core::StrategyKind::PushLearned ||
-          k == core::StrategyKind::RdrProxy) {
-        std::fprintf(stderr,
-                     "fleetsim: --max-live-users is incompatible with "
-                     "strategy %s (cross-visit server/proxy state is not "
-                     "parked)\n",
-                     std::string(core::to_string(k)).c_str());
-        return 2;
-      }
-    }
-  }
-
   fleet::FleetRunner runner(params, users, threads);
   std::fprintf(stderr, "fleetsim: %llu users, %zu shards, %d thread(s), %s vs %s\n",
                static_cast<unsigned long long>(users), runner.shard_count(),
@@ -429,20 +367,6 @@ int main(int argc, char** argv) {
                secs, secs > 0 ? static_cast<double>(users) / secs : 0.0,
                secs > 0 ? static_cast<double>(report.events_executed) / secs
                         : 0.0);
-  if (params.max_live_users > 0) {
-    // Streaming telemetry goes to stderr like the timing line: the stdout
-    // report must stay byte-identical to the materialize-everything engine.
-    std::fprintf(
-        stderr,
-        "fleetsim: streaming: %llu parks, %llu revives (%llu corrupt), "
-        "peak %llu live users/shard, peak %.1f MiB parked\n",
-        static_cast<unsigned long long>(report.parking.parks),
-        static_cast<unsigned long long>(report.parking.revives),
-        static_cast<unsigned long long>(report.parking.corrupt_revivals),
-        static_cast<unsigned long long>(report.parking.live_users_peak),
-        static_cast<double>(report.parking.parked_bytes_peak) /
-            (1024.0 * 1024.0));
-  }
   if (self_profile) {
     std::fprintf(stderr, "%s", report.prof.render_table(secs).c_str());
   }

@@ -9,10 +9,10 @@
 #   plain   — full build + complete ctest suite (includes oracle label)
 #   diff    — differential harness sweep (clean + mutation self-tests,
 #             including the parked-blob corruption arm; rounds draw the
-#             browser protocol at random plus a forced --h2 sweep) and
-#             the oracle-off / flash-off / breakdown-off / h2 /
-#             streaming-off / cross-thread byte-identity checks
-#             (feature-on runs compared across thread counts)
+#             browser protocol at random plus a forced --h2 sweep), the
+#             oracle-off / flash-off / breakdown-off / h2 / two-arm
+#             cross-thread byte-identity checks (feature-on runs compared
+#             across thread counts) and the unknown-flag rejection check
 #   perf    — engine_hotpath --smoke gated against bench/baselines/
 #             hotpath.json (fails on >20% macro throughput regression)
 #             plus the edge_offload --smoke flash sweep and the
@@ -26,10 +26,10 @@
 #   tsan    — TSan build, oracle/fleet/edge labels (trace recording and
 #             oracle counters ride the fleet's shard merge; prove they
 #             stay race-free)
-#   scale   — streaming determinism at CI scale: 200k users through a
-#             4096-slot arena, byte-compared across thread counts
-#             (~tens of minutes; not part of the no-argument run — CI
-#             invokes it as its own job)
+#   scale   — user-major replay at CI scale under peak-RSS ceilings: the
+#             common 50k-user config byte-compared across --threads 2 and
+#             4, plus one edge PoP + flash config (a few minutes; not part
+#             of the no-argument run — CI invokes it as its own job)
 #
 # Usage: tools/run_checks.sh [stage ...]
 #   No arguments runs every stage in the order above except scale.
@@ -177,29 +177,26 @@ stage_diff() {
   fi
   "./$BUILD_DIR/tools/difftest" --rounds 10 --seed 1 --h2
 
-  echo "== streaming byte-identity =="
-  # The streaming shard engine (bounded live arena + park/revive) must be
-  # pure scheduling: with --max-live-users the report stays bit-identical
-  # to the materialise-everything engine and across thread counts.
-  knobs=(--max-visits 2 --mean-gap-hours 120 --baseline catalyst --sites 4)
-  "./$BUILD_DIR/tools/fleetsim" --users 2000 "${knobs[@]}" --json \
-      2>/dev/null > /tmp/stream_legacy.json
-  "./$BUILD_DIR/tools/fleetsim" --users 2000 "${knobs[@]}" \
-      --max-live-users 128 --threads 1 --json 2>/dev/null \
-      > /tmp/stream_t1.json
-  "./$BUILD_DIR/tools/fleetsim" --users 2000 "${knobs[@]}" \
-      --max-live-users 128 --threads 4 --json 2>/dev/null \
-      > /tmp/stream_t4.json
-  cmp /tmp/stream_legacy.json /tmp/stream_t1.json
-  cmp /tmp/stream_t1.json /tmp/stream_t4.json
+  echo "== two-arm byte-identity =="
   # Two arms (catalyst vs baseline) with faults, the oracle and the phase
   # breakdown: covers the baseline and PLT-reduction tallies.
   two_arm=(--users 400 --seed 7 --breakdown --oracle --loss 0.01)
-  "./$BUILD_DIR/tools/fleetsim" "${two_arm[@]}" --json 2>/dev/null \
-      > /tmp/stream2_legacy.json
-  "./$BUILD_DIR/tools/fleetsim" "${two_arm[@]}" --max-live-users 8 \
-      --json 2>/dev/null > /tmp/stream2_arena.json
-  cmp /tmp/stream2_legacy.json /tmp/stream2_arena.json
+  "./$BUILD_DIR/tools/fleetsim" "${two_arm[@]}" --threads 1 --json \
+      2>/dev/null > /tmp/two_arm_t1.json
+  "./$BUILD_DIR/tools/fleetsim" "${two_arm[@]}" --threads 4 --json \
+      2>/dev/null > /tmp/two_arm_t4.json
+  cmp /tmp/two_arm_t1.json /tmp/two_arm_t4.json
+
+  echo "== unknown flags are rejected =="
+  # A misspelt flag or a retired one must fail the run, not silently run
+  # a different experiment.
+  for bad in "--edge-pop 2" "--max-live-users 8"; do
+    # shellcheck disable=SC2086
+    if "./$BUILD_DIR/tools/fleetsim" --users 1 $bad >/dev/null 2>&1; then
+      echo "FAIL: fleetsim accepted unknown flag: $bad" >&2
+      exit 1
+    fi
+  done
 }
 
 stage_perf() {
@@ -247,15 +244,15 @@ PY
 stage_asan() {
   echo "== ASan+UBSan — oracle + robustness + perf + fleet labels =="
   # Only targets built in this tree register with ctest, so the fleet
-  # label here means exactly the parked-blob fuzz + streaming tests —
-  # corrupted revives are decode-of-hostile-bytes and must be UB-clean.
+  # label here means exactly the parked-blob fuzz tests — corrupted
+  # revives are decode-of-hostile-bytes and must be UB-clean.
   # The perf label includes the SHA-1 kernel differential test.
   configure "$ASAN_BUILD_DIR" -DCATALYST_SANITIZE=address
   cmake --build "$ASAN_BUILD_DIR" -j"$JOBS" --target \
       check_oracle_test check_replay_test robustness_test \
       netsim_faults_test client_retry_test \
       util_intern_test util_flat_hash_test util_pool_test util_hash_test \
-      fleet_parked_state_test fleet_streaming_test
+      fleet_parked_state_test
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure \
       --timeout "$CTEST_TIMEOUT" -L 'oracle|robustness|perf|fleet'
 }
@@ -265,28 +262,56 @@ stage_tsan() {
   configure "$TSAN_BUILD_DIR" -DCATALYST_SANITIZE=thread
   cmake --build "$TSAN_BUILD_DIR" -j"$JOBS" --target \
       check_replay_test fleet_determinism_test fleet_report_test \
-      fleet_user_model_test fleet_streaming_test edge_tier_test \
+      fleet_user_model_test edge_tier_test \
       edge_fleet_test edge_flash_test edge_flash_fleet_test obs_fleet_test
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure \
       --timeout "$CTEST_TIMEOUT" -L 'oracle|fleet|edge'
 }
 
+# Runs a command with stdout to $2 and fails if it exits non-zero or its
+# peak RSS (getrusage RUSAGE_CHILDREN, so the child alone) exceeds $1 MiB.
+rss_gate() {
+  local ceiling_mib=$1 out=$2
+  shift 2
+  python3 - "$ceiling_mib" "$out" "$@" <<'PY'
+import resource, subprocess, sys
+ceiling, out, cmd = float(sys.argv[1]), sys.argv[2], sys.argv[3:]
+with open(out, "wb") as f:
+    rc = subprocess.call(cmd, stdout=f, stderr=subprocess.DEVNULL)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+print(f"peak RSS {peak:.0f} MiB (ceiling {ceiling:.0f} MiB): {' '.join(cmd)}")
+if rc != 0:
+    sys.exit(f"FAIL: exit status {rc}")
+if peak > ceiling:
+    sys.exit("FAIL: peak RSS over its ceiling")
+PY
+}
+
 stage_scale() {
-  echo "== streaming determinism at scale (200k users, 4096-slot arena) =="
-  # The issue-9 acceptance gate: a 200k-user fleet streamed through a
-  # bounded arena must produce byte-identical reports for any --threads.
-  # Cheap per-user knobs keep this to tens of minutes of virtual fleet.
+  echo "== user-major scale + memory gate =="
+  # User-major replay keeps one user's testbeds per worker thread, so peak
+  # RSS must stay flat in --users. Each ceiling notes the peak measured on
+  # a 4-vCPU x86-64 box (default RelWithDebInfo build, gcc 12) and its
+  # margin over it.
   configure "$BUILD_DIR"
   cmake --build "$BUILD_DIR" -j"$JOBS" --target fleetsim
-  knobs=(--max-visits 2 --mean-gap-hours 120 --baseline catalyst --sites 4)
-  "./$BUILD_DIR/tools/fleetsim" --users 200000 "${knobs[@]}" \
-      --max-live-users 4096 --threads 1 --json 2>/dev/null \
-      > /tmp/scale_t1.json
-  "./$BUILD_DIR/tools/fleetsim" --users 200000 "${knobs[@]}" \
-      --max-live-users 4096 --threads 2 --json 2>/dev/null \
-      > /tmp/scale_t2.json
-  cmp /tmp/scale_t1.json /tmp/scale_t2.json
-  echo "scale gate: reports byte-identical across thread counts"
+  local fleetsim="./$BUILD_DIR/tools/fleetsim"
+  knobs=(--users 50000 --max-visits 2 --mean-gap-hours 120
+         --baseline catalyst --sites 4)
+  # ROADMAP common config: measured 26 MiB peak; ceiling 40 MiB (+54%).
+  rss_gate 40 /tmp/scale_t2.json \
+      "$fleetsim" "${knobs[@]}" --threads 2 --json
+  # Same config on 4 threads: measured 47 MiB peak; ceiling 64 MiB (+36%).
+  rss_gate 64 /tmp/scale_t4.json \
+      "$fleetsim" "${knobs[@]}" --threads 4 --json
+  cmp /tmp/scale_t2.json /tmp/scale_t4.json
+  # Edge PoPs + flash: one shard per PoP, each holding its own RAM and
+  # flash tiers for both arms. Measured 592 MiB peak (626 MiB at 5000
+  # users: the PoP tiers, not the users, set it); ceiling 800 MiB (+35%).
+  rss_gate 800 /tmp/scale_pop.json \
+      "$fleetsim" --users 2000 --edge-pops 4 --edge-flash-mb 32 \
+      --threads 4 --json
+  echo "scale gate: reports byte-identical across thread counts, peak RSS under every ceiling"
 }
 
 stages=()
